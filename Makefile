@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint bench bench-baseline bench-gate bench-gate-advisory experiments-smoke serve-smoke cluster-smoke train-smoke cover fuzz clean
+.PHONY: all build vet test test-short race check lint bench bench-baseline bench-gate bench-gate-advisory experiments-smoke perfbench-test serve-smoke cluster-smoke train-smoke cover fuzz clean
 
 all: build vet test
 
@@ -63,6 +63,13 @@ bench-gate-advisory:
 # Fast end-to-end sanity pass over every experiment.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -exp all -scale tiny -quiet
+
+# The repo benchmark's own tests (perfbench/ is a separate module that
+# `go test ./...` at the root does not reach): unit tests plus every
+# workload end to end at its toy sizes, so the harness cannot rot
+# unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Boots `fillvoid serve` on an ephemeral port, uploads a cloud, runs two
 # ROI reconstructions (the second must hit the plan cache), checks

@@ -352,7 +352,6 @@ func BenchmarkFig12TrainEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := net.TrainEpochs(ts.X, ts.Y, 1); err != nil {
@@ -394,7 +393,6 @@ func BenchmarkFig14Subsample(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

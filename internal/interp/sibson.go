@@ -148,6 +148,10 @@ func (r *NaturalNeighbor) ReconstructRegion(ctx context.Context, p *recon.Plan, 
 // gatherPoints answers arbitrary query points in the gather form of the
 // same discrete-Sibson estimate: accumulate the nearest-sample value of
 // every grid voxel x the query would steal (|x - q| < |x - n(x)|).
+// A query that lies exactly on a grid node measures its distances in
+// integer node offsets, as scatterBall does, so it reproduces the box
+// form's value for that node bit for bit; elsewhere the offsets are
+// world-space differences.
 func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts []mathutil.Vec3, dst []float64, nearestIdx []int32, nearestD2 []float64, planeMaxD []float64) error {
 	c := p.Cloud()
 	spec := p.Spec()
@@ -159,17 +163,31 @@ func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts [
 			dst[m] = c.Values[bi]
 			return nil
 		}
+		qi, qj, qk, onNode := gridNode(spec, q)
 		sum := 0.0
 		count := 0
 		for sk := 0; sk < spec.NZ; sk++ {
-			dz := spec.Origin.Z + float64(sk)*spec.Spacing.Z - q.Z
-			if math.Abs(dz) >= planeMaxD[sk] {
-				continue
+			var dz float64
+			if onNode {
+				// scatterBall's source-plane reach, for the one output plane qk.
+				reach := int(planeMaxD[sk]/spec.Spacing.Z) + 1
+				if sk+reach < qk || sk-reach > qk {
+					continue
+				}
+				dz = float64(qk-sk) * spec.Spacing.Z
+			} else {
+				dz = spec.Origin.Z + float64(sk)*spec.Spacing.Z - q.Z
+				if math.Abs(dz) >= planeMaxD[sk] {
+					continue
+				}
 			}
 			dz2 := dz * dz
 			base := sk * spec.NX * spec.NY
 			for sj := 0; sj < spec.NY; sj++ {
 				dy := spec.Origin.Y + float64(sj)*spec.Spacing.Y - q.Y
+				if onNode {
+					dy = float64(qj-sj) * spec.Spacing.Y
+				}
 				dyz2 := dz2 + dy*dy
 				row := base + sj*spec.NX
 				for si := 0; si < spec.NX; si++ {
@@ -179,6 +197,9 @@ func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts [
 						continue
 					}
 					dx := spec.Origin.X + float64(si)*spec.Spacing.X - q.X
+					if onNode {
+						dx = float64(qi-si) * spec.Spacing.X
+					}
 					if dyz2+dx*dx < d2 {
 						sum += c.Values[nearestIdx[src]]
 						count++
@@ -193,6 +214,30 @@ func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts [
 		}
 		return nil
 	})
+}
+
+// gridNode returns the indices of the grid node q coincides with
+// exactly (spec.Point(i, j, k) == q), if there is one.
+func gridNode(spec GridSpec, q mathutil.Vec3) (i, j, k int, ok bool) {
+	i, okI := nodeIndex(spec.Origin.X, spec.Spacing.X, q.X, spec.NX)
+	j, okJ := nodeIndex(spec.Origin.Y, spec.Spacing.Y, q.Y, spec.NY)
+	k, okK := nodeIndex(spec.Origin.Z, spec.Spacing.Z, q.Z, spec.NZ)
+	return i, j, k, okI && okJ && okK
+}
+
+// nodeIndex is gridNode along one axis: the index in [0, n) whose
+// coordinate origin + idx*spacing equals v exactly.
+func nodeIndex(origin, spacing, v float64, n int) (int, bool) {
+	f := 0.0
+	if spacing != 0 {
+		f = math.Round((v - origin) / spacing)
+	}
+	if !(f >= 0 && f < float64(n)) { // also rejects NaN
+		return 0, false
+	}
+	idx := int(f)
+	//lint:allow floateq: on-node means bit-identical to the grid's own coordinate expression
+	return idx, origin+float64(idx)*spacing == v
 }
 
 // scatterBall adds val to every region output node whose squared

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
 	"fillvoid/internal/pointcloud"
+	"fillvoid/internal/recon"
 	"fillvoid/internal/sampling"
 )
 
@@ -89,6 +91,42 @@ func TestDiscreteSibsonMatchesBruteForceAcrossWorkerCounts(t *testing.T) {
 		}
 		if d := grid.MaxAbsDiff(ref, got); d != 0 {
 			t.Fatalf("workers=%d deviates by %g", workers, d)
+		}
+	}
+}
+
+// Every grid node queried as a point must reproduce the box (scatter)
+// form's value bit for bit, on a grid whose origin and spacings are not
+// exact binary fractions: world-space differences q - x and integer
+// offsets (k - s)·spacing round differently there.
+func TestNaturalPointsMatchBoxAtEveryNode(t *testing.T) {
+	v := grid.NewWithGeometry(12, 11, 9, mathutil.Vec3{X: 0.3, Y: -1.7, Z: 2.1}, mathutil.Vec3{X: 0.37, Y: 0.53, Z: 0.29})
+	v.Fill(func(_, _, _ int, p mathutil.Vec3) float64 { return math.Sin(p.X*1.3) + p.Y*p.Z })
+	cloud, _, err := (&sampling.Random{Seed: 4}).Sample(v, "f", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SpecOf(v)
+	plan, err := recon.NewPlan(cloud, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &NaturalNeighbor{Workers: 2}
+	box, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]mathutil.Vec3, v.Len())
+	for n := range pts {
+		pts[n] = v.PointAt(n)
+	}
+	got, err := recon.ReconstructPoints(context.Background(), m, plan, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, want := range box.Data {
+		if math.Float64bits(got[n]) != math.Float64bits(want) {
+			t.Fatalf("node %d at %v: points %v, box %v", n, pts[n], got[n], want)
 		}
 	}
 }

@@ -5,7 +5,8 @@ import "fmt"
 // This file is the fused batched-inference path: a register-blocked
 // forward kernel plus caller-owned activation buffers, so steady-state
 // inference over a stream of chunks performs zero heap allocations.
-// The kernel is bit-identical to dense.forward — for every (row, output)
+// The kernel is bit-identical to the row-at-a-time reference
+// (dense.forward, kept in reference_test.go) — for every (row, output)
 // pair the accumulator starts at the bias and adds w[i]*x[i] with i
 // ascending in a single float64 sum, so fusing changes nothing about
 // the produced values, only how fast they are produced.

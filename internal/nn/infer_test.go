@@ -26,24 +26,29 @@ func randomInput(rows, cols int, seed int64) *Matrix {
 }
 
 // TestPredictIntoBitIdentical pins the fused-kernel contract: the
-// blocked forward pass produces exactly the bits of the row-at-a-time
-// Predict path, across batch sizes that exercise every unroll remainder.
+// blocked forward pass, alone and tiled across Predict's workers,
+// produces exactly the bits of the row-at-a-time reference, across
+// batch sizes that exercise every unroll remainder and tile boundary.
 func TestPredictIntoBitIdentical(t *testing.T) {
 	n := testNetwork(t)
-	buf := n.NewInferenceBuffers(257)
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257} {
+	buf := n.NewInferenceBuffers(1100)
+	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257, 1100} {
 		x := randomInput(rows, 23, int64(rows))
-		want, err := n.Predict(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refPredict(n, x)
 		out := NewMatrix(rows, 4)
 		if err := n.PredictInto(x, out, buf); err != nil {
+			t.Fatal(err)
+		}
+		pred, err := n.Predict(x)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
 			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("rows=%d element %d: fused %x, reference %x", rows, i, out.Data[i], want.Data[i])
+			}
+			if math.Float64bits(pred.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("rows=%d element %d: Predict %x, reference %x", rows, i, pred.Data[i], want.Data[i])
 			}
 		}
 	}

@@ -28,77 +28,5 @@ func (l *dense) initHe(rnd interface{ NormFloat64() float64 }) {
 	}
 }
 
-// forward computes the layer output for a batch shard, storing both the
-// pre-activation (for backward) and the activation into the caches.
-// x is (n × in); z and a are (n × out).
-func (l *dense) forward(x, z, a *Matrix) {
-	n := x.Rows
-	for r := 0; r < n; r++ {
-		xr := x.Row(r)
-		zr := z.Row(r)
-		ar := a.Row(r)
-		for o := 0; o < l.out; o++ {
-			w := l.w[o*l.in : (o+1)*l.in]
-			s := l.b[o]
-			for i, wi := range w {
-				s += wi * xr[i]
-			}
-			zr[o] = s
-			if l.relu && s < 0 {
-				ar[o] = 0
-			} else {
-				ar[o] = s
-			}
-		}
-	}
-}
-
-// backward consumes dA (gradient wrt this layer's activation), converts
-// it through the ReLU to dZ in place, accumulates weight/bias gradients
-// into gw/gb, and writes the gradient wrt the input into dX (when
-// non-nil; the first layer skips it).
-func (l *dense) backward(x, z, dA *Matrix, gw, gb []float64, dX *Matrix) {
-	n := x.Rows
-	for r := 0; r < n; r++ {
-		xr := x.Row(r)
-		zr := z.Row(r)
-		dr := dA.Row(r)
-		if l.relu {
-			for o := 0; o < l.out; o++ {
-				if zr[o] <= 0 {
-					dr[o] = 0
-				}
-			}
-		}
-		for o := 0; o < l.out; o++ {
-			d := dr[o]
-			if d == 0 {
-				continue
-			}
-			gb[o] += d
-			gwRow := gw[o*l.in : (o+1)*l.in]
-			for i, xi := range xr {
-				gwRow[i] += d * xi
-			}
-		}
-		if dX != nil {
-			dxr := dX.Row(r)
-			for i := range dxr {
-				dxr[i] = 0
-			}
-			for o := 0; o < l.out; o++ {
-				d := dr[o]
-				if d == 0 {
-					continue
-				}
-				w := l.w[o*l.in : (o+1)*l.in]
-				for i, wi := range w {
-					dxr[i] += d * wi
-				}
-			}
-		}
-	}
-}
-
 // paramCount returns the number of trainable scalars in the layer.
 func (l *dense) paramCount() int { return len(l.w) + len(l.b) }

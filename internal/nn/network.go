@@ -233,8 +233,15 @@ func (n *Network) TrainableParamCount() int {
 	return total
 }
 
+// predictTile bounds the rows Predict pushes through the blocked kernel
+// at a time, so its activation buffers stay cache-sized however large
+// the input is.
+const predictTile = 512
+
 // Predict runs batched inference in parallel and returns the (rows ×
-// Out) prediction matrix.
+// Out) prediction matrix. Each worker streams its chunk through
+// PredictInto in tiles of at most predictTile rows; rows are
+// independent, so the tiling does not change a single bit.
 func (n *Network) Predict(x *Matrix) (*Matrix, error) {
 	if x.Cols != n.cfg.In {
 		return nil, fmt.Errorf("nn: input width %d, want %d", x.Cols, n.cfg.In)
@@ -245,33 +252,14 @@ func (n *Network) Predict(x *Matrix) (*Matrix, error) {
 		workers = parallel.DefaultWorkers()
 	}
 	parallel.ForChunked(x.Rows, workers, func(lo, hi int) {
-		n.forwardShard(x.SliceRows(lo, hi), out.SliceRows(lo, hi), nil, nil)
+		buf := n.NewInferenceBuffers(min(hi-lo, predictTile))
+		for t := lo; t < hi; t += predictTile {
+			e := min(t+predictTile, hi)
+			//lint:allow errdrop: shapes were validated above and buf holds predictTile rows
+			_ = n.PredictInto(x.SliceRows(t, e), out.SliceRows(t, e), buf)
+		}
 	})
 	return out, nil
-}
-
-// forwardShard runs the full forward pass for a shard. When zs/as are
-// non-nil they receive the per-layer caches needed for backward.
-func (n *Network) forwardShard(x, out *Matrix, zs, as []*Matrix) {
-	cur := x
-	for li, l := range n.layers {
-		var z, a *Matrix
-		if zs != nil {
-			z, a = zs[li], as[li]
-		} else {
-			z = NewMatrix(cur.Rows, l.out)
-			if li == len(n.layers)-1 {
-				a = out
-			} else {
-				a = NewMatrix(cur.Rows, l.out)
-			}
-		}
-		l.forward(cur, z, a)
-		cur = a
-	}
-	if zs != nil && out != nil {
-		copy(out.Data, as[len(as)-1].Data)
-	}
 }
 
 // Loss returns the mean squared error of predictions against targets,
@@ -306,49 +294,16 @@ func (n *Network) TrainEpochs(x, y *Matrix, epochs int) ([]float64, error) {
 // generator's position is part of the state, and each epoch's
 // permutation depends only on that position.
 func (n *Network) TrainEpochsOpts(x, y *Matrix, epochs int, run RunOptions) ([]float64, error) {
-	if x.Rows != y.Rows {
-		return nil, errors.New("nn: x/y row mismatch")
+	t, err := n.newTrainer(x, y)
+	if err != nil {
+		return nil, err
 	}
-	if x.Cols != n.cfg.In || y.Cols != n.cfg.Out {
-		return nil, fmt.Errorf("nn: train shapes (%d,%d), want (%d,%d)", x.Cols, y.Cols, n.cfg.In, n.cfg.Out)
-	}
-	if x.Rows == 0 {
-		return nil, errors.New("nn: empty training set")
-	}
-	workers := n.cfg.Workers
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	batch := n.cfg.BatchSize
-	if batch > x.Rows {
-		batch = x.Rows
-	}
-
-	perm := make([]int, x.Rows)
-
-	// Per-worker scratch: gradient buffers and activation caches sized
-	// for the largest shard.
-	shardCap := (batch + workers - 1) / workers
-	scratch := make([]*trainScratch, workers)
-	for w := range scratch {
-		scratch[w] = n.newTrainScratch(shardCap)
-	}
-	gw := make([][]float64, len(n.layers))
-	gb := make([][]float64, len(n.layers))
-	for li, l := range n.layers {
-		gw[li] = make([]float64, len(l.w))
-		gb[li] = make([]float64, len(l.b))
-	}
-	bx := NewMatrix(batch, x.Cols)
-	by := NewMatrix(batch, y.Cols)
-
 	epochLosses := make([]float64, 0, epochs)
-	adamCfg := n.cfg.Adam
 	// epochBase keeps observer epoch indices — and the decay schedule —
-	// monotone across repeated TrainEpochs calls: fine-tuning and the
-	// one-epoch inner calls of TrainWithValidation continue the lifetime
-	// count instead of restarting it, so LRDecayEvery fires at lifetime
-	// epochs k, 2k, ... no matter how training is sliced into calls.
+	// monotone across repeated TrainEpochs calls: fine-tuning continues
+	// the lifetime count instead of restarting it, so LRDecayEvery fires
+	// at lifetime epochs k, 2k, ... no matter how training is sliced
+	// into calls.
 	epochBase := len(n.Losses)
 	var epochStart time.Time
 	if n.obs != nil {
@@ -361,39 +316,9 @@ func (n *Network) TrainEpochsOpts(x, y *Matrix, epochs int, run RunOptions) ([]f
 			}
 			return epochLosses, ErrStopped
 		}
-		adamCfg.LearningRate = n.LearningRateAt(epochBase + e)
-		// A fresh identity permutation shuffled once: the epoch's batch
-		// order is a pure function of the generator state, which a
-		// checkpoint restores exactly.
-		for i := range perm {
-			perm[i] = i
-		}
-		n.shuffle.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		totalLoss := 0.0
-		for start := 0; start < x.Rows; start += batch {
-			end := start + batch
-			if end > x.Rows {
-				end = x.Rows
-			}
-			bn := end - start
-			for i := 0; i < bn; i++ {
-				copy(bx.Row(i), x.Row(perm[start+i]))
-				copy(by.Row(i), y.Row(perm[start+i]))
-			}
-			loss := n.trainBatch(bx.SliceRows(0, bn), by.SliceRows(0, bn), scratch, gw, gb, workers, adamCfg)
-			// Weight each batch's mean loss by its row count so the
-			// epoch mean is the true dataset MSE even when the final
-			// minibatch is partial (rows % batch != 0).
-			totalLoss += loss * float64(bn)
-		}
-		meanLoss := totalLoss / float64(x.Rows)
+		lr := n.LearningRateAt(epochBase + e)
+		meanLoss := n.trainEpoch(t, x, y, lr)
 		epochLosses = append(epochLosses, meanLoss)
-		// Losses is appended per epoch (not once at the end) so a
-		// checkpoint taken after any epoch sees the loss history the
-		// resumed run will continue from.
-		n.mu.Lock()
-		n.Losses = append(n.Losses, meanLoss)
-		n.mu.Unlock()
 		if n.obs != nil {
 			now := time.Now()
 			d := now.Sub(epochStart)
@@ -405,7 +330,7 @@ func (n *Network) TrainEpochsOpts(x, y *Matrix, epochs int, run RunOptions) ([]f
 			n.obs.ObserveEpoch(telemetry.EpochStat{
 				Epoch:           epochBase + e,
 				Loss:            meanLoss,
-				LearningRate:    adamCfg.LearningRate,
+				LearningRate:    lr,
 				Examples:        x.Rows,
 				ExamplesPerSec:  eps,
 				TrainableParams: n.TrainableParamCount(),
@@ -525,12 +450,19 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 		trainLosses = append(trainLosses, rv.TrainLosses...)
 		valLosses = append(valLosses, rv.ValLosses...)
 	}
+	// snapshot copies the weights into the best-epoch buffers, reusing
+	// them after the first improvement (checkpoints deep-copy them).
 	snapshot := func() {
-		bestW = bestW[:0]
-		bestB = bestB[:0]
-		for _, l := range n.layers {
-			bestW = append(bestW, append([]float64(nil), l.w...))
-			bestB = append(bestB, append([]float64(nil), l.b...))
+		if len(bestW) != len(n.layers) {
+			bestW, bestB = bestW[:0], bestB[:0]
+			for _, l := range n.layers {
+				bestW = append(bestW, make([]float64, len(l.w)))
+				bestB = append(bestB, make([]float64, len(l.b)))
+			}
+		}
+		for i, l := range n.layers {
+			copy(bestW[i], l.w)
+			copy(bestB[i], l.b)
 		}
 	}
 	capture := func() *TrainState {
@@ -542,11 +474,10 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 		}).clone()
 		return ts
 	}
-	// The observer is driven from this loop (not the inner TrainEpochs
-	// calls) so each stat carries the epoch's validation loss too.
-	obs := n.obs
-	n.obs = nil
-	defer func() { n.obs = obs }()
+	t, err := n.newTrainer(x, y)
+	if err != nil {
+		return nil, nil, err
+	}
 	for e := 0; e < epochs; e++ {
 		if run.stopped() {
 			if run.Checkpoint != nil {
@@ -557,10 +488,9 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 			return trainLosses, valLosses, ErrStopped
 		}
 		epochStart := time.Now()
-		tl, err := n.TrainEpochs(x, y, 1)
-		if err != nil {
-			return nil, nil, err
-		}
+		lifetimeEpoch := len(n.Losses)
+		lr := n.LearningRateAt(lifetimeEpoch)
+		tl := n.trainEpoch(t, x, y, lr)
 		pred, err := n.Predict(vx)
 		if err != nil {
 			return nil, nil, err
@@ -569,20 +499,20 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 		if err != nil {
 			return nil, nil, err
 		}
-		trainLosses = append(trainLosses, tl[0])
+		trainLosses = append(trainLosses, tl)
 		valLosses = append(valLosses, vl)
-		if obs != nil {
+		if n.obs != nil {
 			d := time.Since(epochStart)
 			eps := 0.0
 			if secs := d.Seconds(); secs > 0 {
 				eps = float64(x.Rows) / secs
 			}
-			obs.ObserveEpoch(telemetry.EpochStat{
-				Epoch:           len(n.Losses) - 1,
-				Loss:            tl[0],
+			n.obs.ObserveEpoch(telemetry.EpochStat{
+				Epoch:           lifetimeEpoch,
+				Loss:            tl,
 				ValLoss:         vl,
 				ValLossValid:    true,
-				LearningRate:    n.LearningRateAt(len(n.Losses) - 1),
+				LearningRate:    lr,
 				Examples:        x.Rows,
 				ExamplesPerSec:  eps,
 				TrainableParams: n.TrainableParamCount(),
@@ -599,9 +529,9 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 				break
 			}
 		}
-		if run.checkpointDue(len(n.Losses) - 1) {
+		if run.checkpointDue(lifetimeEpoch) {
 			if err := run.Checkpoint(capture()); err != nil {
-				return trainLosses, valLosses, fmt.Errorf("nn: checkpoint at epoch %d: %w", len(n.Losses)-1, err)
+				return trainLosses, valLosses, fmt.Errorf("nn: checkpoint at epoch %d: %w", lifetimeEpoch, err)
 			}
 		}
 	}
@@ -614,124 +544,4 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 		n.mu.Unlock()
 	}
 	return trainLosses, valLosses, nil
-}
-
-// trainScratch holds one worker's forward caches, gradient buffers and
-// backprop temporaries.
-type trainScratch struct {
-	zs, as []*Matrix
-	dA     []*Matrix
-	gw     [][]float64
-	gb     [][]float64
-}
-
-func (n *Network) newTrainScratch(rows int) *trainScratch {
-	s := &trainScratch{}
-	for _, l := range n.layers {
-		s.zs = append(s.zs, NewMatrix(rows, l.out))
-		s.as = append(s.as, NewMatrix(rows, l.out))
-		s.dA = append(s.dA, NewMatrix(rows, l.out))
-		s.gw = append(s.gw, make([]float64, len(l.w)))
-		s.gb = append(s.gb, make([]float64, len(l.b)))
-	}
-	return s
-}
-
-// trainBatch computes the batch gradient with data-parallel shards,
-// reduces the per-worker gradients in fixed order, and applies one Adam
-// step per unfrozen layer. It returns the batch's mean loss.
-func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][]float64, workers int, adamCfg AdamConfig) float64 {
-	bn := bx.Rows
-	if workers > bn {
-		workers = bn
-	}
-	chunk := (bn + workers - 1) / workers
-	losses := make([]float64, workers)
-	parallel.ForChunked(bn, workers, func(lo, hi int) {
-		w := lo / chunk
-		losses[w] = n.shardGradient(bx.SliceRows(lo, hi), by.SliceRows(lo, hi), scratch[w], bn)
-	})
-	// Fixed-order reduction keeps training deterministic.
-	for li := range n.layers {
-		gwl, gbl := gw[li], gb[li]
-		for i := range gwl {
-			gwl[i] = 0
-		}
-		for i := range gbl {
-			gbl[i] = 0
-		}
-		for w := 0; w < workers; w++ {
-			sw := scratch[w].gw[li]
-			for i, v := range sw {
-				gwl[i] += v
-			}
-			sb := scratch[w].gb[li]
-			for i, v := range sb {
-				gbl[i] += v
-			}
-		}
-	}
-	// The apply step mutates weights under n.mu so a concurrent Save or
-	// Clone snapshots a consistent parameter set.
-	n.mu.Lock()
-	for li, l := range n.layers {
-		if l.frozen {
-			continue
-		}
-		n.opts[li].w.step(l.w, gw[li], adamCfg)
-		n.opts[li].b.step(l.b, gb[li], adamCfg)
-	}
-	n.mu.Unlock()
-	total := 0.0
-	for _, v := range losses {
-		total += v
-	}
-	return total / float64(bn*by.Cols)
-}
-
-// shardGradient runs forward + backward over one shard, accumulating
-// gradients into the scratch buffers (zeroed here) and returning the
-// shard's summed squared error.
-func (n *Network) shardGradient(sx, sy *Matrix, s *trainScratch, batchTotal int) float64 {
-	rows := sx.Rows
-	nl := len(n.layers)
-	zs := make([]*Matrix, nl)
-	as := make([]*Matrix, nl)
-	dA := make([]*Matrix, nl)
-	for li := range n.layers {
-		zs[li] = s.zs[li].SliceRows(0, rows)
-		as[li] = s.as[li].SliceRows(0, rows)
-		dA[li] = s.dA[li].SliceRows(0, rows)
-		for i := range s.gw[li] {
-			s.gw[li][i] = 0
-		}
-		for i := range s.gb[li] {
-			s.gb[li][i] = 0
-		}
-	}
-	n.forwardShard(sx, nil, zs, as)
-
-	// d(MSE)/d(pred) with the MSE normalized over batch*out elements.
-	pred := as[nl-1]
-	scale := 2 / float64(batchTotal*sy.Cols)
-	sse := 0.0
-	dLast := dA[nl-1]
-	for i := range pred.Data {
-		d := pred.Data[i] - sy.Data[i]
-		sse += d * d
-		dLast.Data[i] = d * scale
-	}
-
-	for li := nl - 1; li >= 0; li-- {
-		in := sx
-		if li > 0 {
-			in = as[li-1]
-		}
-		var dX *Matrix
-		if li > 0 {
-			dX = dA[li-1]
-		}
-		n.layers[li].backward(in, zs[li], dA[li], s.gw[li], s.gb[li], dX)
-	}
-	return sse
 }

@@ -61,7 +61,7 @@ func mustEqualState(t *testing.T, got, want *TrainState) {
 		t.Fatalf("loss history length %d != %d", len(got.Losses), len(want.Losses))
 	}
 	for i := range want.Losses {
-		if got.Losses[i] != want.Losses[i] {
+		if math.Float64bits(got.Losses[i]) != math.Float64bits(want.Losses[i]) {
 			t.Fatalf("loss[%d] = %v != %v", i, got.Losses[i], want.Losses[i])
 		}
 	}
@@ -72,7 +72,7 @@ func mustEqualState(t *testing.T, got, want *TrainState) {
 		}
 		for i := range b {
 			for j := range b[i] {
-				if a[i][j] != b[i][j] {
+				if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
 					t.Fatalf("%s[%d][%d] = %v != %v (not bit-identical)", name, i, j, a[i][j], b[i][j])
 				}
 			}
